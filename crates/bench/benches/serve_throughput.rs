@@ -152,8 +152,8 @@ fn bench_batch_throughput(c: &mut Criterion) {
 fn bench_parallel_oracle(c: &mut Criterion) {
     // One oracle-bound query on a 4-null chain, under a semantics with no early
     // exit for it: the enumeration is thousands of worlds and per-world
-    // evaluation is the cost — the shape the chunked oracle targets.
-    let d = inst! { "D" => [[x(1), x(2)], [x(2), x(3)], [x(3), x(4)]] };
+    // evaluation is the cost — the shape the pool oracle targets.
+    let d = Arc::new(inst! { "D" => [[x(1), x(2)], [x(2), x(3)], [x(3), x(4)]] });
     let engine = CertainEngine::new();
     let query = Arc::new(
         engine

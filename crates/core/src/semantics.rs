@@ -26,14 +26,15 @@
 //!   powerset widths beyond the configured caps).
 
 use std::collections::BTreeSet;
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Deref};
+use std::sync::Arc;
 
 use nev_hom::minimal::is_minimal_image;
 use nev_hom::search::{
     all_homomorphisms, has_db_homomorphism, has_onto_db_homomorphism,
     has_strong_onto_db_homomorphism, HomConfig,
 };
-use nev_hom::valuation::enumerate_valuations;
+use nev_hom::valuation::Valuations;
 use nev_hom::ValueMap;
 use nev_incomplete::instance::fresh_constants;
 use nev_incomplete::{Constant, Instance, Tuple, Value};
@@ -130,93 +131,29 @@ impl Semantics {
         out
     }
 
-    /// Returns a lazily-driven iterator over the bounded possible worlds of `d`
-    /// under this semantics — the streaming primitive behind
-    /// [`Semantics::for_each_world`], [`Semantics::enumerate_worlds`] and the
-    /// `engine` module's evaluation paths.
+    /// Returns a lazy iterator over the bounded possible worlds of `d` under this
+    /// semantics — the streaming primitive behind [`Semantics::for_each_world`],
+    /// [`Semantics::enumerate_worlds`], the `engine` module's evaluation paths and
+    /// the serve layer's pool oracle.
     ///
-    /// The valuation list (`|budget|^#nulls` entries) is still materialised up
-    /// front, as it always was; what is lazy is everything downstream: world
-    /// **instances** are built on demand (one valuation image, one extension batch,
-    /// one union combination at a time), so early-exit consumers — a Boolean
-    /// certain-answer check that found a counter-world, an intersection that became
-    /// empty — skip the instance construction and query evaluation for every world
-    /// after their exit point. Worlds may be repeated; use
+    /// Nothing is materialised up front: valuations come one at a time from the
+    /// [`Valuations`] odometer, and each step builds one world (one valuation
+    /// image, one image plus a set of extra facts, one union). Memory is
+    /// `O(#nulls)` plus what a semantics must hold — the facts missing from the
+    /// current image (OWA, WCWA), the images seen so far (the deduplicating
+    /// variants) — so a consumer that exits on its first world (a Boolean
+    /// check that met a counter-world, an emptied intersection) pays for one
+    /// world however large `|budget|^#nulls` is. Worlds may be repeated; use
     /// [`Semantics::enumerate_worlds`] for a deduplicated list.
     pub fn worlds<'a>(self, d: &'a Instance, bounds: &WorldBounds) -> Worlds<'a> {
-        let budget = bounds.budget_for(d, self);
-        let valuations = enumerate_valuations(d, &budget);
-        let state = match self {
-            Semantics::Cwa => WorldsState::Valuations {
-                valuations: valuations.into_iter(),
-                minimal: false,
-                seen: BTreeSet::new(),
-            },
-            Semantics::MinimalCwa => WorldsState::Valuations {
-                valuations: valuations.into_iter(),
-                minimal: true,
-                seen: BTreeSet::new(),
-            },
-            Semantics::Wcwa => WorldsState::Extensions {
-                valuations: valuations.into_iter(),
-                extension_domain: BTreeSet::new(),
-                grow_domain: false,
-                max_extra: bounds.wcwa_max_extra_tuples,
-                pending: Vec::new().into_iter(),
-            },
-            Semantics::Owa => {
-                let fresh: Vec<Constant> = {
-                    let mut avoid = budget.clone();
-                    avoid.extend(bounds.extra_constants.iter().cloned());
-                    fresh_constants(bounds.owa_fresh_values, &avoid)
-                };
-                let mut extension_domain: BTreeSet<Value> =
-                    budget.iter().cloned().map(Value::Const).collect();
-                extension_domain.extend(fresh.into_iter().map(Value::Const));
-                WorldsState::Extensions {
-                    valuations: valuations.into_iter(),
-                    extension_domain,
-                    grow_domain: true,
-                    max_extra: bounds.owa_max_extra_tuples,
-                    pending: Vec::new().into_iter(),
-                }
-            }
-            Semantics::PowersetCwa | Semantics::MinimalPowersetCwa => {
-                // Deduplicate valuation images first, then (for the minimal variant)
-                // keep only the minimal ones.
-                let unique_images: Vec<Instance> = {
-                    let mut seen = BTreeSet::new();
-                    valuations
-                        .iter()
-                        .map(|v| v.apply_instance(d))
-                        .filter(|w| seen.insert(w.clone()))
-                        .collect()
-                };
-                let images: Vec<Instance> = if self == Semantics::MinimalPowersetCwa {
-                    unique_images
-                        .into_iter()
-                        .filter(|w| is_minimal_image(d, w))
-                        .collect()
-                } else {
-                    unique_images
-                };
-                // Unions of at most `union_width` images (non-empty selections).
-                let width = bounds.union_width.max(1);
-                let combos = combinations_up_to(images.len(), width);
-                WorldsState::Unions {
-                    images,
-                    combos: combos.into_iter(),
-                }
-            }
-        };
-        Worlds {
-            d,
-            emitted: 0,
-            max_worlds: bounds.max_worlds,
-            overflowed: false,
-            finished: false,
-            state,
-        }
+        Worlds::new(self, Source::Borrowed(d), bounds)
+    }
+
+    /// [`Semantics::worlds`] over a shared instance: the stream holds the `Arc`
+    /// instead of a borrow, so it is `'static` and can move into pool tasks
+    /// without copying the instance. Same worlds, same order.
+    pub fn shared_worlds(self, d: Arc<Instance>, bounds: &WorldBounds) -> Worlds<'static> {
+        Worlds::new(self, Source::Shared(d), bounds)
     }
 
     /// Streams the bounded possible worlds of `d` to `visitor`, stopping early if the
@@ -245,16 +182,16 @@ impl Semantics {
 }
 
 /// An iterator over the bounded possible worlds of an instance, created by
-/// [`Semantics::worlds`].
+/// [`Semantics::worlds`] or [`Semantics::shared_worlds`].
 ///
-/// World materialisation is incremental (the valuation list itself is prebuilt —
-/// see [`Semantics::worlds`]): the CWA family applies one valuation per step, the
-/// OWA/WCWA extension semantics materialise the extension subsets of one valuation
-/// image at a time, and the powerset semantics prebuild the deduplicated images and
-/// combination indices but construct one union instance per step. The iterator
-/// stops after [`WorldBounds::max_worlds`] items (see [`Worlds::truncated`]).
+/// Every step is incremental: the CWA family applies the next valuation, the
+/// OWA/WCWA extension semantics add the next bounded set of missing facts to
+/// the current valuation image, and the powerset semantics build one union per
+/// step, drawing a new deduplicated image only when the next union needs it.
+/// The iterator stops after [`WorldBounds::max_worlds`] items (see
+/// [`Worlds::truncated`]).
 pub struct Worlds<'a> {
-    d: &'a Instance,
+    d: Source<'a>,
     emitted: usize,
     max_worlds: usize,
     /// A world beyond `max_worlds` was generated and suppressed.
@@ -264,31 +201,138 @@ pub struct Worlds<'a> {
     state: WorldsState,
 }
 
+/// The instance a [`Worlds`] stream enumerates.
+enum Source<'a> {
+    Borrowed(&'a Instance),
+    Shared(Arc<Instance>),
+}
+
+impl Deref for Source<'_> {
+    type Target = Instance;
+
+    fn deref(&self) -> &Instance {
+        match self {
+            Source::Borrowed(d) => d,
+            Source::Shared(d) => d,
+        }
+    }
+}
+
 enum WorldsState {
-    /// CWA and minimal CWA: one world per valuation (deduplicated and filtered for
-    /// minimality in the minimal variant).
-    Valuations {
-        valuations: std::vec::IntoIter<ValueMap>,
-        minimal: bool,
-        seen: BTreeSet<Instance>,
-    },
+    /// CWA and minimal CWA: one world per valuation image.
+    Images(Images),
     /// WCWA and OWA: every valuation image plus all bounded fact extensions over the
     /// image's active domain (WCWA) or the enlarged constant budget (OWA).
     Extensions {
-        valuations: std::vec::IntoIter<ValueMap>,
+        valuations: Valuations,
         /// Extra values extension tuples may use beyond the image's active domain.
         extension_domain: BTreeSet<Value>,
         /// OWA grows the domain with the budget; WCWA keeps `adom(v(D))`.
         grow_domain: bool,
         max_extra: usize,
-        /// Extension worlds of the current valuation image, materialised per image.
-        pending: std::vec::IntoIter<Instance>,
+        /// The current valuation image and the facts missing from it over the
+        /// extension domain.
+        image: Option<(Instance, Vec<(String, Tuple)>)>,
+        /// The next set of missing facts to add, as ascending indices in the
+        /// order of [`next_selection`] (the empty set first); `None` once the
+        /// current image has no further extension.
+        extra: Option<Vec<usize>>,
     },
-    /// Powerset semantics: unions of at most `union_width` valuation images.
+    /// Powerset semantics: unions of at most `width` distinct valuation images.
     Unions {
+        source: Images,
+        /// The images drawn from `source` so far, in stream order.
         images: Vec<Instance>,
-        combos: std::vec::IntoIter<Vec<usize>>,
+        width: usize,
+        /// The next selection as ascending image indices. Read as the set bits
+        /// of a binary number, selections run in increasing order, so a union
+        /// that needs image `k` comes only after every union of images `< k`.
+        /// `None` once the images ran out.
+        next: Option<Vec<usize>>,
     },
+}
+
+/// The valuation images `v(D)` in odometer order, optionally deduplicated and
+/// (for the minimal semantics) restricted to `D`-minimal images.
+struct Images {
+    valuations: Valuations,
+    /// Images emitted so far; `None` when repeats are allowed.
+    seen: Option<BTreeSet<Instance>>,
+    minimal: bool,
+}
+
+impl Images {
+    fn new(d: &Instance, budget: &BTreeSet<Constant>, dedup: bool, minimal: bool) -> Self {
+        Images {
+            valuations: Valuations::new(d, budget),
+            seen: dedup.then(BTreeSet::new),
+            minimal,
+        }
+    }
+
+    fn next(&mut self, d: &Instance) -> Option<Instance> {
+        loop {
+            let world = self.valuations.next()?.apply_instance(d);
+            let Some(seen) = &mut self.seen else {
+                return Some(world);
+            };
+            // Deduplicate images before the (comparatively expensive) minimality
+            // check: many valuations share an image.
+            if seen.insert(world.clone()) && (!self.minimal || is_minimal_image(d, &world)) {
+                return Some(world);
+            }
+        }
+    }
+}
+
+impl<'a> Worlds<'a> {
+    fn new(semantics: Semantics, d: Source<'a>, bounds: &WorldBounds) -> Self {
+        let budget = bounds.budget_for(&d, semantics);
+        let state = match semantics {
+            Semantics::Cwa => WorldsState::Images(Images::new(&d, &budget, false, false)),
+            Semantics::MinimalCwa => WorldsState::Images(Images::new(&d, &budget, true, true)),
+            Semantics::Wcwa => WorldsState::Extensions {
+                valuations: Valuations::new(&d, &budget),
+                extension_domain: BTreeSet::new(),
+                grow_domain: false,
+                max_extra: bounds.wcwa_max_extra_tuples,
+                image: None,
+                extra: None,
+            },
+            Semantics::Owa => {
+                let fresh: Vec<Constant> = {
+                    let mut avoid = budget.clone();
+                    avoid.extend(bounds.extra_constants.iter().cloned());
+                    fresh_constants(bounds.owa_fresh_values, &avoid)
+                };
+                let mut extension_domain: BTreeSet<Value> =
+                    budget.iter().cloned().map(Value::Const).collect();
+                extension_domain.extend(fresh.into_iter().map(Value::Const));
+                WorldsState::Extensions {
+                    valuations: Valuations::new(&d, &budget),
+                    extension_domain,
+                    grow_domain: true,
+                    max_extra: bounds.owa_max_extra_tuples,
+                    image: None,
+                    extra: None,
+                }
+            }
+            Semantics::PowersetCwa | Semantics::MinimalPowersetCwa => WorldsState::Unions {
+                source: Images::new(&d, &budget, true, semantics.is_minimal()),
+                images: Vec::new(),
+                width: bounds.union_width.max(1),
+                next: Some(vec![0]),
+            },
+        };
+        Worlds {
+            d,
+            emitted: 0,
+            max_worlds: bounds.max_worlds,
+            overflowed: false,
+            finished: false,
+            state,
+        }
+    }
 }
 
 impl Worlds<'_> {
@@ -301,57 +345,86 @@ impl Worlds<'_> {
     }
 
     fn next_world(&mut self) -> Option<Instance> {
-        let d = self.d;
+        let d: &Instance = &self.d;
         match &mut self.state {
-            WorldsState::Valuations {
-                valuations,
-                minimal,
-                seen,
-            } => loop {
-                let v = valuations.next()?;
-                let world = v.apply_instance(d);
-                if !*minimal {
-                    return Some(world);
-                }
-                // Deduplicate images before the (comparatively expensive) minimality
-                // check: many valuations share an image.
-                if seen.insert(world.clone()) && is_minimal_image(d, &world) {
-                    return Some(world);
-                }
-            },
+            WorldsState::Images(images) => images.next(d),
             WorldsState::Extensions {
                 valuations,
                 extension_domain,
                 grow_domain,
                 max_extra,
-                pending,
+                image,
+                extra,
             } => loop {
-                if let Some(world) = pending.next() {
+                if let (Some((base, missing)), Some(selection)) = (image.as_ref(), extra.as_mut()) {
+                    let world = add_facts(base, selection.iter().map(|&i| &missing[i]));
+                    let more = *max_extra > 0 && {
+                        next_selection(selection, *max_extra);
+                        selection.last().is_some_and(|&top| top < missing.len())
+                    };
+                    if !more {
+                        *extra = None;
+                    }
                     return Some(world);
                 }
-                let v = valuations.next()?;
-                let base = v.apply_instance(d);
+                let base = valuations.next()?.apply_instance(d);
                 let mut domain: BTreeSet<Value> = base.adom();
                 if *grow_domain {
                     domain.extend(extension_domain.iter().cloned());
                 }
-                let candidates = missing_tuples_over(&base, &domain);
-                let worlds: Vec<Instance> = subsets_up_to(&candidates, *max_extra)
-                    .into_iter()
-                    .map(|extra| add_facts(&base, &extra))
-                    .collect();
-                *pending = worlds.into_iter();
+                let missing = missing_tuples_over(&base, &domain);
+                *image = Some((base, missing));
+                *extra = Some(Vec::new());
             },
-            WorldsState::Unions { images, combos } => {
-                let combo = combos.next()?;
+            WorldsState::Unions {
+                source,
+                images,
+                width,
+                next,
+            } => {
+                let combo = next.as_mut()?;
+                let top = *combo.last().expect("selections are non-empty");
+                if top == images.len() {
+                    match source.next(d) {
+                        Some(image) => images.push(image),
+                        None => {
+                            *next = None;
+                            return None;
+                        }
+                    }
+                }
                 let mut world = Instance::empty_of_schema(&d.schema());
-                for idx in &combo {
+                for idx in combo.iter() {
                     world = world.union(&images[*idx]).expect("same schema");
                 }
+                next_selection(combo, *width);
                 Some(world)
             }
         }
     }
+}
+
+/// Advances `combo` — ascending indices, read as the set bits of a binary
+/// number — to the next larger number with at most `width ≥ 1` bits set.
+fn next_selection(combo: &mut Vec<usize>, width: usize) {
+    add_low_bit(combo, 0);
+    // Too many bits: adding the lowest set bit clears its run of ones, the
+    // smallest step that can reduce the count.
+    while combo.len() > width {
+        let low = combo[0];
+        add_low_bit(combo, low);
+    }
+}
+
+/// Adds `2^bit` to the number whose set bits are `combo`, given none below `bit`.
+fn add_low_bit(combo: &mut Vec<usize>, bit: usize) {
+    let run = combo
+        .iter()
+        .enumerate()
+        .take_while(|&(i, &b)| b == bit + i)
+        .count();
+    combo.drain(..run);
+    combo.insert(0, bit + run);
 }
 
 impl Iterator for Worlds<'_> {
@@ -568,40 +641,16 @@ fn missing_tuples_over(base: &Instance, domain: &BTreeSet<Value>) -> Vec<(String
     out
 }
 
-fn add_facts(base: &Instance, extra: &[(String, Tuple)]) -> Instance {
+fn add_facts<'t>(
+    base: &Instance,
+    extra: impl IntoIterator<Item = &'t (String, Tuple)>,
+) -> Instance {
     let mut out = base.clone();
     for (rel, tuple) in extra {
         out.add_tuple(rel, tuple.clone())
             .expect("arity-consistent extension");
     }
     out
-}
-
-/// All subsets of `items` of size at most `max_size` (including the empty subset),
-/// materialised as vectors of clones.
-fn subsets_up_to<T: Clone>(items: &[T], max_size: usize) -> Vec<Vec<T>> {
-    let mut out = vec![Vec::new()];
-    for item in items {
-        let mut extended = Vec::new();
-        for subset in &out {
-            if subset.len() < max_size {
-                let mut bigger = subset.clone();
-                bigger.push(item.clone());
-                extended.push(bigger);
-            }
-        }
-        out.extend(extended);
-    }
-    out
-}
-
-/// All non-empty index combinations of `{0, …, n-1}` of size at most `max_size`.
-fn combinations_up_to(n: usize, max_size: usize) -> Vec<Vec<usize>> {
-    let indices: Vec<usize> = (0..n).collect();
-    subsets_up_to(&indices, max_size)
-        .into_iter()
-        .filter(|s| !s.is_empty())
-        .collect()
 }
 
 #[cfg(test)]
@@ -834,6 +883,153 @@ mod tests {
         assert!(!exact.truncated());
         let _ = exact.next();
         assert!(!exact.truncated(), "re-polling must not flip the flag");
+    }
+
+    /// All subsets of `items` of size at most `max_size` (including the empty subset),
+    /// materialised as vectors of clones.
+    fn subsets_up_to<T: Clone>(items: &[T], max_size: usize) -> Vec<Vec<T>> {
+        let mut out = vec![Vec::new()];
+        for item in items {
+            let mut extended = Vec::new();
+            for subset in &out {
+                if subset.len() < max_size {
+                    let mut bigger = subset.clone();
+                    bigger.push(item.clone());
+                    extended.push(bigger);
+                }
+            }
+            out.extend(extended);
+        }
+        out
+    }
+
+    /// The eager construction the lazy stream replaced: the whole valuation
+    /// list first, then (for the powerset semantics) every deduplicated image
+    /// and every index combination, in the order the old code emitted them.
+    fn eager_worlds(sem: Semantics, d: &Instance, bounds: &WorldBounds) -> Vec<Instance> {
+        let budget = bounds.budget_for(d, sem);
+        let valuations = nev_hom::enumerate_valuations(d, &budget);
+        let images = || valuations.iter().map(|v| v.apply_instance(d));
+        let extensions = |domain_extra: &BTreeSet<Value>, max_extra: usize| -> Vec<Instance> {
+            images()
+                .flat_map(|base| {
+                    let mut domain = base.adom();
+                    domain.extend(domain_extra.iter().cloned());
+                    let candidates = missing_tuples_over(&base, &domain);
+                    subsets_up_to(&candidates, max_extra)
+                        .into_iter()
+                        .map(move |extra| add_facts(&base, &extra))
+                })
+                .collect()
+        };
+        match sem {
+            Semantics::Cwa => images().collect(),
+            Semantics::MinimalCwa => {
+                let mut seen = BTreeSet::new();
+                images()
+                    .filter(|w| seen.insert(w.clone()) && is_minimal_image(d, w))
+                    .collect()
+            }
+            Semantics::Wcwa => extensions(&BTreeSet::new(), bounds.wcwa_max_extra_tuples),
+            Semantics::Owa => {
+                let mut avoid = budget.clone();
+                avoid.extend(bounds.extra_constants.iter().cloned());
+                let mut domain: BTreeSet<Value> =
+                    budget.iter().cloned().map(Value::Const).collect();
+                domain.extend(
+                    fresh_constants(bounds.owa_fresh_values, &avoid)
+                        .into_iter()
+                        .map(Value::Const),
+                );
+                extensions(&domain, bounds.owa_max_extra_tuples)
+            }
+            Semantics::PowersetCwa | Semantics::MinimalPowersetCwa => {
+                let mut seen = BTreeSet::new();
+                let unique: Vec<Instance> = images().filter(|w| seen.insert(w.clone())).collect();
+                let images: Vec<Instance> = unique
+                    .into_iter()
+                    .filter(|w| !sem.is_minimal() || is_minimal_image(d, w))
+                    .collect();
+                let indices: Vec<usize> = (0..images.len()).collect();
+                subsets_up_to(&indices, bounds.union_width.max(1))
+                    .into_iter()
+                    .filter(|combo| !combo.is_empty())
+                    .map(|combo| {
+                        let mut world = Instance::empty_of_schema(&d.schema());
+                        for idx in combo {
+                            world = world.union(&images[idx]).expect("same schema");
+                        }
+                        world
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_worlds_equal_the_eager_construction_world_for_world() {
+        let instances = [
+            inst! { "R" => [[c(1), c(2)]] },
+            inst! { "R" => [[c(1), x(1)]], "S" => [[x(1)]] },
+            inst! { "D" => [[x(1), x(1)], [x(1), x(2)]] },
+            d0(),
+        ];
+        for d in &instances {
+            // Widths and extension sizes from zero (images only) upwards.
+            for (union_width, owa_extra, wcwa_extra) in [(1, 0, 0), (2, 1, 2), (3, 2, 3)] {
+                let bounds = WorldBounds {
+                    union_width,
+                    owa_max_extra_tuples: owa_extra,
+                    wcwa_max_extra_tuples: wcwa_extra,
+                    ..WorldBounds::default()
+                };
+                for sem in Semantics::ALL {
+                    let eager = eager_worlds(sem, d, &bounds);
+                    assert!(!eager.is_empty(), "{sem} on {d}");
+                    let mut lazy = sem.worlds(d, &bounds);
+                    let streamed: Vec<Instance> = lazy.by_ref().collect();
+                    assert_eq!(streamed, eager, "{sem} width={union_width} on {d}");
+                    assert!(!lazy.truncated());
+                    // Capped streams are a prefix of the eager list, flagged
+                    // exactly when something was cut off; the shared stream
+                    // yields the same worlds.
+                    for cap in [0, 1, eager.len() / 2, eager.len()] {
+                        let capped = WorldBounds {
+                            max_worlds: cap,
+                            ..bounds.clone()
+                        };
+                        let mut lazy = sem.shared_worlds(Arc::new(d.clone()), &capped);
+                        let prefix: Vec<Instance> = lazy.by_ref().collect();
+                        assert_eq!(prefix, eager[..cap], "{sem} cap={cap} on {d}");
+                        assert_eq!(lazy.truncated(), cap < eager.len(), "{sem} cap={cap}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn first_cwa_world_of_192_nulls_comes_at_once() {
+        // 192^192 valuations: the eager list this stream replaced could never be
+        // built (a 192-null EVAL was once OOM-killed materialising it).
+        let mut d = Instance::new();
+        for i in 1..=192 {
+            d.add_tuple("R", vec![x(i), c(i64::from(i % 7))])
+                .expect("one arity throughout");
+        }
+        let mut worlds = Semantics::Cwa.worlds(&d, &WorldBounds::default());
+        let first = worlds.next().expect("a first world");
+        assert!(first.is_complete());
+        assert!(Semantics::Cwa.contains_world(&d, &first));
+        assert!(worlds.next().is_some());
+        // Every semantics starts streaming without enumerating valuations or
+        // extension sets.
+        for sem in Semantics::ALL {
+            assert!(
+                sem.worlds(&d, &WorldBounds::default()).next().is_some(),
+                "{sem}"
+            );
+        }
     }
 
     #[test]

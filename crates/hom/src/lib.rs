@@ -37,4 +37,4 @@ pub use search::{
     all_homomorphisms, exists_homomorphism, find_homomorphism, HomConfig, Surjectivity,
     VariableOrdering,
 };
-pub use valuation::{apply_valuation, enumerate_valuations, is_valuation};
+pub use valuation::{apply_valuation, enumerate_valuations, is_valuation, Valuations};

@@ -12,7 +12,7 @@ use nev_incomplete::{Constant, Instance};
 
 use crate::mapping::ValueMap;
 use crate::search::{exists_homomorphism, HomConfig};
-use crate::valuation::{enumerate_valuations, is_valuation, standard_budget};
+use crate::valuation::{is_valuation, standard_budget, Valuations};
 
 /// Returns `true` iff `image` is a ⊊-minimal homomorphic image of `d` among images of
 /// *database* homomorphisms: there is no database homomorphism from `d` into a proper
@@ -44,8 +44,7 @@ pub fn is_minimal_valuation(v: &ValueMap, d: &Instance) -> bool {
 /// extended by `extra` (see [`standard_budget`]).
 pub fn enumerate_minimal_valuations(d: &Instance, extra: &BTreeSet<Constant>) -> Vec<ValueMap> {
     let budget = standard_budget(d, extra);
-    enumerate_valuations(d, &budget)
-        .into_iter()
+    Valuations::new(d, &budget)
         .filter(|v| is_minimal_image(d, &v.apply_instance(d)))
         .collect()
 }
@@ -155,7 +154,7 @@ mod tests {
         // minimal because the image cannot shrink below one tuple.
         let d = inst! { "R" => [[c(1), x(1)]] };
         let budget = standard_budget(&d, &BTreeSet::new());
-        for v in enumerate_valuations(&d, &budget) {
+        for v in Valuations::new(&d, &budget) {
             assert!(is_minimal_valuation(&v, &d));
         }
     }

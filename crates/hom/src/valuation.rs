@@ -37,41 +37,107 @@ pub fn apply_valuation(map: &ValueMap, d: &Instance) -> Instance {
     map.apply_instance(d)
 }
 
-/// Enumerates **all** valuations of the nulls of `d` into the given constant budget.
+/// A lazy odometer over the valuations of a list of nulls into a constant
+/// budget: a mixed-radix counter whose digit `i` indexes the constant bound to
+/// null `i`, yielding one [`ValueMap`] per step.
 ///
-/// The number of valuations is `|budget|^|Null(D)|`; callers control the blow-up by
-/// keeping instances and budgets small (this is the ground-truth oracle, not the
-/// naïve evaluator).
-pub fn enumerate_valuations(d: &Instance, budget: &BTreeSet<Constant>) -> Vec<ValueMap> {
-    let nulls: Vec<NullId> = d.nulls().into_iter().collect();
-    if budget.is_empty() && !nulls.is_empty() {
-        return Vec::new();
-    }
-    let constants: Vec<Constant> = budget.iter().cloned().collect();
-    let mut out = Vec::new();
-    let mut current: Vec<usize> = vec![0; nulls.len()];
-    loop {
-        let map = ValueMap::from_pairs(
-            nulls
-                .iter()
-                .zip(&current)
-                .map(|(n, idx)| (Value::Null(*n), Value::Const(constants[*idx].clone()))),
-        );
-        out.push(map);
-        // Advance the mixed-radix counter.
-        let mut pos = 0;
-        loop {
-            if pos == nulls.len() {
-                return out;
-            }
-            current[pos] += 1;
-            if current[pos] < constants.len() {
-                break;
-            }
-            current[pos] = 0;
-            pos += 1;
+/// The first null is the fastest-moving digit, so the order is exactly that of
+/// [`enumerate_valuations`] (which collects this iterator). Memory is
+/// `O(#nulls + |budget|)` however many valuations remain: a consumer that
+/// stops after the first valuation pays for one, not for `|budget|^#nulls`.
+///
+/// ```
+/// use std::collections::BTreeSet;
+/// use nev_hom::valuation::Valuations;
+/// use nev_incomplete::builder::x;
+/// use nev_incomplete::{inst, Constant};
+///
+/// let d = inst! { "R" => [[x(1), x(2)]] };
+/// let budget: BTreeSet<Constant> = (1..=3).map(Constant::int).collect();
+/// let mut valuations = Valuations::new(&d, &budget);
+/// assert_eq!(valuations.size_hint(), (9, Some(9)));
+/// valuations.next();
+/// assert_eq!(valuations.count(), 8);
+/// ```
+#[derive(Clone, Debug)]
+pub struct Valuations {
+    nulls: Vec<NullId>,
+    constants: Vec<Constant>,
+    /// The digits of the next valuation; `None` once the counter has wrapped.
+    digits: Option<Vec<usize>>,
+}
+
+impl Valuations {
+    /// The valuations of the nulls of `d` into `budget`. With no nulls there is
+    /// exactly one (empty) valuation; with nulls but an empty budget there is none.
+    pub fn new(d: &Instance, budget: &BTreeSet<Constant>) -> Self {
+        let nulls: Vec<NullId> = d.nulls().into_iter().collect();
+        let constants: Vec<Constant> = budget.iter().cloned().collect();
+        let digits = (nulls.is_empty() || !constants.is_empty()).then(|| vec![0; nulls.len()]);
+        Valuations {
+            nulls,
+            constants,
+            digits,
         }
     }
+}
+
+impl Iterator for Valuations {
+    type Item = ValueMap;
+
+    fn next(&mut self) -> Option<ValueMap> {
+        let digits = self.digits.as_mut()?;
+        let map = ValueMap::from_pairs(
+            self.nulls
+                .iter()
+                .zip(digits.iter())
+                .map(|(n, idx)| (Value::Null(*n), Value::Const(self.constants[*idx].clone()))),
+        );
+        // Advance the mixed-radix counter; wrapping past the last digit ends it.
+        let mut pos = 0;
+        loop {
+            if pos == digits.len() {
+                self.digits = None;
+                break;
+            }
+            digits[pos] += 1;
+            if digits[pos] < self.constants.len() {
+                break;
+            }
+            digits[pos] = 0;
+            pos += 1;
+        }
+        Some(map)
+    }
+
+    /// Exact while `|budget|^#nulls` fits a `usize`; beyond that the lower bound
+    /// saturates and the upper bound is unknown (192 nulls must not overflow).
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let Some(digits) = &self.digits else {
+            return (0, Some(0));
+        };
+        let base = self.constants.len();
+        let total = u32::try_from(digits.len())
+            .ok()
+            .and_then(|n| base.checked_pow(n));
+        let Some(total) = total else {
+            return (usize::MAX, None);
+        };
+        // The rank of the next valuation, most significant digit last; it is
+        // below `total`, so it cannot overflow either.
+        let rank = digits.iter().rev().fold(0, |acc, d| acc * base + d);
+        let remaining = total - rank;
+        (remaining, Some(remaining))
+    }
+}
+
+/// Enumerates **all** valuations of the nulls of `d` into the given constant budget,
+/// collected from the [`Valuations`] odometer.
+///
+/// The number of valuations is `|budget|^|Null(D)|` and every one is held in
+/// memory; streaming consumers use [`Valuations`] directly.
+pub fn enumerate_valuations(d: &Instance, budget: &BTreeSet<Constant>) -> Vec<ValueMap> {
+    Valuations::new(d, budget).collect()
 }
 
 /// The default constant budget for enumerating the CWA worlds of `d` up to
@@ -91,7 +157,7 @@ pub fn enumerate_cwa_worlds(d: &Instance, extra: &BTreeSet<Constant>) -> Vec<Ins
     let budget = standard_budget(d, extra);
     let mut seen = BTreeSet::new();
     let mut out = Vec::new();
-    for v in enumerate_valuations(d, &budget) {
+    for v in Valuations::new(d, &budget) {
         let world = v.apply_instance(d);
         if seen.insert(world.clone()) {
             out.push(world);
@@ -153,6 +219,74 @@ mod tests {
         assert_eq!(enumerate_valuations(&complete, &BTreeSet::new()).len(), 1);
         // Nulls but empty budget: no valuations.
         assert!(enumerate_valuations(&d, &BTreeSet::new()).is_empty());
+    }
+
+    /// The eager mixed-radix loop the odometer replaced, kept as its reference.
+    fn eager_valuations(d: &Instance, budget: &BTreeSet<Constant>) -> Vec<ValueMap> {
+        let nulls: Vec<NullId> = d.nulls().into_iter().collect();
+        if budget.is_empty() && !nulls.is_empty() {
+            return Vec::new();
+        }
+        let constants: Vec<Constant> = budget.iter().cloned().collect();
+        let mut out = Vec::new();
+        let mut current: Vec<usize> = vec![0; nulls.len()];
+        loop {
+            out.push(ValueMap::from_pairs(nulls.iter().zip(&current).map(
+                |(n, idx)| (Value::Null(*n), Value::Const(constants[*idx].clone())),
+            )));
+            let mut pos = 0;
+            loop {
+                if pos == nulls.len() {
+                    return out;
+                }
+                current[pos] += 1;
+                if current[pos] < constants.len() {
+                    break;
+                }
+                current[pos] = 0;
+                pos += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn odometer_matches_the_eager_list_with_exact_size_hints() {
+        let instances = [
+            inst! { "R" => [[c(1)]] },
+            inst! { "R" => [[x(1)]] },
+            inst! { "R" => [[x(1), x(2)], [x(3), c(1)]] },
+        ];
+        for d in &instances {
+            for width in 0..4 {
+                let budget: BTreeSet<Constant> = (1..=width).map(Constant::int).collect();
+                let eager = eager_valuations(d, &budget);
+                let mut lazy = Valuations::new(d, &budget);
+                for (i, expected) in eager.iter().enumerate() {
+                    let left = eager.len() - i;
+                    assert_eq!(lazy.size_hint(), (left, Some(left)), "{d} width={width}");
+                    assert_eq!(lazy.next().as_ref(), Some(expected), "{d} width={width}");
+                }
+                assert_eq!(lazy.size_hint(), (0, Some(0)));
+                assert!(lazy.next().is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn odometer_over_192_nulls_starts_at_once_without_overflow() {
+        // 192 nulls over a budget of 192 fresh constants: 192^192 valuations,
+        // which an eager list could never hold.
+        let mut d = Instance::new();
+        for i in 1..=192 {
+            d.add_tuple("R", vec![x(i), c(1)])
+                .expect("one arity throughout");
+        }
+        let budget = standard_budget(&d, &BTreeSet::new());
+        let mut valuations = Valuations::new(&d, &budget);
+        assert_eq!(valuations.size_hint(), (usize::MAX, None));
+        let first = valuations.next().expect("a first valuation");
+        assert!(is_valuation(&first, &d));
+        assert_eq!(valuations.size_hint(), (usize::MAX, None));
     }
 
     #[test]

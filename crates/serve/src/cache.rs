@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use nev_core::engine::{EngineError, PreparedQuery};
 use nev_core::summary::{expectation, Expectation};
@@ -38,8 +38,13 @@ pub struct CachedPlan {
     pub cell: Expectation,
 }
 
+/// A cache slot. It is inserted empty on the first miss, before preparation,
+/// so concurrent misses on one key find it and wait for that one preparation
+/// instead of each preparing the query again.
+type Slot = Arc<OnceLock<CachedPlan>>;
+
 struct Entry {
-    plan: CachedPlan,
+    slot: Slot,
     last_used: u64,
 }
 
@@ -169,23 +174,31 @@ impl PlanCache {
     ) -> Result<(CachedPlan, bool), EngineError> {
         let (canonical_text, query) = canonical(text)?;
         let key = (canonical_text, semantics);
-        if let Some(plan) = self.lookup(&key) {
-            // relaxed: hit/miss tallies are telemetry only.
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((plan, true));
-        }
-        // Prepare outside the lock: classification + compilation is the expensive
-        // part and must not serialise concurrent misses on different texts.
-        // relaxed: hit/miss tallies are telemetry only.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let (prepared, _reused) = self.shared_prepared(&key.0, query);
-        let plan = CachedPlan {
-            cell: expectation(semantics, prepared.fragment()),
-            prepared,
-            semantics,
+        let slot = self.slot(&key);
+        // Prepare outside the cache lock: classification + compilation is the
+        // expensive part and must not serialise misses on different texts. The
+        // slot makes concurrent misses on the *same* key single-flight: one
+        // caller prepares, the others block on the slot and count as hits.
+        let mut prepared_here = false;
+        let plan = slot
+            .get_or_init(|| {
+                prepared_here = true;
+                let (prepared, _reused) = self.shared_prepared(&key.0, query);
+                CachedPlan {
+                    cell: expectation(semantics, prepared.fragment()),
+                    prepared,
+                    semantics,
+                }
+            })
+            .clone();
+        let tally = if prepared_here {
+            &self.misses
+        } else {
+            &self.hits
         };
-        self.insert(key, plan.clone());
-        Ok((plan, false))
+        // relaxed: hit/miss tallies are telemetry only.
+        tally.fetch_add(1, Ordering::Relaxed);
+        Ok((plan, !prepared_here))
     }
 
     /// Warms the cache for `text` under **every** semantics (the `PREPARE`
@@ -205,17 +218,14 @@ impl PlanCache {
             self.misses.fetch_add(1, Ordering::Relaxed);
         }
         for semantics in Semantics::ALL {
-            let key = (canonical_text.clone(), semantics);
-            if self.lookup(&key).is_none() {
-                self.insert(
-                    key,
-                    CachedPlan {
-                        prepared: Arc::clone(&prepared),
-                        semantics,
-                        cell: expectation(semantics, prepared.fragment()),
-                    },
-                );
-            }
+            let slot = self.slot(&(canonical_text.clone(), semantics));
+            // An entry already filled (or being filled by a concurrent EVAL)
+            // keeps its plan; an empty one takes this preparation.
+            let _ = slot.set(CachedPlan {
+                prepared: Arc::clone(&prepared),
+                semantics,
+                cell: expectation(semantics, prepared.fragment()),
+            });
         }
         Ok(prepared)
     }
@@ -228,40 +238,41 @@ impl PlanCache {
         {
             let inner = self.inner.lock().expect("cache lock poisoned");
             for sibling in Semantics::ALL {
-                if let Some(e) = inner.entries.get(&(canonical_text.to_string(), sibling)) {
-                    return (Arc::clone(&e.plan.prepared), true);
+                let key = (canonical_text.to_string(), sibling);
+                if let Some(plan) = inner.entries.get(&key).and_then(|e| e.slot.get()) {
+                    return (Arc::clone(&plan.prepared), true);
                 }
             }
         }
         (Arc::new(PreparedQuery::new(query)), false)
     }
 
-    fn lookup(&self, key: &(String, Semantics)) -> Option<CachedPlan> {
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
-        inner.clock += 1;
-        let clock = inner.clock;
-        let entry = inner.entries.get_mut(key)?;
-        entry.last_used = clock;
-        Some(entry.plan.clone())
-    }
-
-    fn insert(&self, key: (String, Semantics), plan: CachedPlan) {
+    /// The slot for `key`, marked most recently used and inserted empty when
+    /// absent (evicting past capacity). With capacity zero nothing is retained
+    /// and every call gets a fresh slot.
+    fn slot(&self, key: &(String, Semantics)) -> Slot {
         if self.capacity == 0 {
-            return;
+            return Slot::default();
         }
         let mut inner = self.inner.lock().expect("cache lock poisoned");
         inner.clock += 1;
         let clock = inner.clock;
+        if let Some(entry) = inner.entries.get_mut(key) {
+            entry.last_used = clock;
+            return Arc::clone(&entry.slot);
+        }
+        let slot = Slot::default();
         inner.entries.insert(
-            key,
+            key.clone(),
             Entry {
-                plan,
+                slot: Arc::clone(&slot),
                 last_used: clock,
             },
         );
         while inner.entries.len() > self.capacity {
             // O(capacity) victim scan: capacities are small (hundreds), and the
-            // scan runs only on insertions past capacity.
+            // scan runs only on insertions past capacity. The entry just
+            // inserted is the most recent, so it is never the victim.
             let victim = inner
                 .entries
                 .iter()
@@ -272,6 +283,7 @@ impl PlanCache {
             // relaxed: eviction tally is telemetry only.
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
+        slot
     }
 }
 
@@ -428,6 +440,34 @@ mod tests {
         assert!(Arc::ptr_eq(&again, &prepared));
         assert_eq!((cache.hits(), cache.misses()), (2, 2));
         assert_eq!(cache.len(), 3, "capacity is still respected");
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_key_prepare_once() {
+        // Eight first lookups of one text released together: the slot inserted
+        // by the first makes the rest wait for its preparation, so exactly one
+        // miss however the threads interleave.
+        let cache = Arc::new(PlanCache::new(16));
+        let start = Arc::new(std::sync::Barrier::new(8));
+        let threads: Vec<_> = (0..8)
+            .map(|_| {
+                let cache = Arc::clone(&cache);
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    cache
+                        .get_or_prepare("forall u . exists v . D(u, v)", Semantics::Owa)
+                        .expect("valid query")
+                        .prepared
+                })
+            })
+            .collect();
+        let prepared: Vec<_> = threads
+            .into_iter()
+            .map(|t| t.join().expect("lookup thread"))
+            .collect();
+        assert!(prepared.iter().all(|p| Arc::ptr_eq(p, &prepared[0])));
+        assert_eq!((cache.hits(), cache.misses()), (7, 1));
     }
 
     #[test]

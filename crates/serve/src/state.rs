@@ -594,7 +594,7 @@ impl ServeState {
     /// caller's trace.
     fn eval_prepared(
         &self,
-        instance: &Instance,
+        instance: &Arc<Instance>,
         semantics: Semantics,
         prepared: &Arc<PreparedQuery>,
         recorder: &TraceRecorder,
@@ -1313,6 +1313,28 @@ mod tests {
         assert!(response.truncated);
         assert_eq!(response.render(), "plan=oracle certain={()} truncated=true");
         assert_eq!(state.snapshot().truncated, 2);
+    }
+
+    #[test]
+    fn a_first_world_refutation_over_many_nulls_costs_a_handful_of_worlds() {
+        // 48 nulls under CWA span 48^48 valuations, a list no machine could
+        // hold (a 192-null EVAL was once OOM-killed building it). The first
+        // world values every null alike and refutes the sentence, so the
+        // streamed oracle answers exactly after at most one chunk.
+        let state = state(2);
+        let facts: Vec<String> = (1..=48).map(|i| format!("R(?{i})")).collect();
+        assert_eq!(
+            state.handle_line(&format!("LOAD many {}", facts.join(";"))),
+            "OK loaded many facts=48"
+        );
+        let before = state.snapshot().worlds;
+        let line = state.handle_line("EVAL many cwa exists u v . R(u) & R(v) & !(u = v)");
+        assert_eq!(line, "OK plan=oracle certain={}");
+        let worlds = state.snapshot().worlds - before;
+        assert!(
+            (1..=DEFAULT_CHUNK as u64).contains(&worlds),
+            "worlds={worlds}"
+        );
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //!    and 8 workers, including with morsels small enough that the certified
 //!    exec path fans scans and joins out across the shared pool;
 //! 3. **parallel ≡ sequential** — a proptest over seeded workloads of all five
-//!    fragments: the chunked parallel oracle's verdict equals the engine's
-//!    sequential oracle on every trial, for every chunk size tried.
+//!    fragments: the pool oracle's verdict equals the engine's sequential oracle
+//!    on every trial, for every chunk size tried; and with the world cap set low
+//!    enough to cut streams off, served answers *and* `truncated` flags equal the
+//!    engine's at every worker count.
 
 use std::sync::Arc;
 
@@ -23,7 +25,7 @@ use naive_eval::core::engine::CertainEngine;
 use naive_eval::core::{Semantics, WorldBounds};
 use naive_eval::logic::Fragment;
 use naive_eval::serve::oracle::parallel_certain_answers;
-use naive_eval::serve::state::{ServeConfig, ServeState};
+use naive_eval::serve::state::{PlanKind, ServeConfig, ServeState};
 use naive_eval::serve::{workload, WorkerPool};
 
 // Zero workers is the caller-helps degenerate pool: genuinely sequential, so
@@ -187,6 +189,60 @@ fn batched_responses_are_byte_identical_across_worker_counts() {
     assert_all_identical(&transcripts);
 }
 
+/// Capped world streams: with `max_worlds` this small most oracle answers rest
+/// on a cut-off stream. Served responses — certain answers and `truncated`
+/// flags — must be byte-identical at every worker count and agree with the
+/// engine's sequential oracle request by request.
+#[test]
+fn capped_oracle_responses_match_the_sequential_engine_at_every_worker_count() {
+    let generated = workload(20131017, 3, 36);
+    let capped = WorldBounds {
+        max_worlds: 6,
+        ..bounds()
+    };
+    let engine = CertainEngine::with_bounds(capped.clone());
+    let mut transcripts: Vec<Vec<String>> = Vec::new();
+    for workers in WORKER_COUNTS {
+        let state = ServeState::new(ServeConfig {
+            workers,
+            bounds: capped.clone(),
+            // One world per chunk: the most chunk boundaries, so cross-chunk
+            // folds and runner interleavings are exercised at every count.
+            oracle_chunk: 1,
+            ..ServeConfig::default()
+        });
+        for (name, instance) in &generated.instances {
+            state.load(name.clone(), instance.clone());
+        }
+        let mut responses = Vec::new();
+        for request in &generated.requests {
+            let served = state
+                .eval(&request.instance, request.semantics, &request.query)
+                .expect("workload requests are valid");
+            if served.plan == PlanKind::Oracle {
+                let instance = state.catalog().get(&request.instance).expect("loaded");
+                let prepared = engine.prepare(&request.query).expect("valid query");
+                let sequential = engine.evaluate(&instance, request.semantics, &prepared);
+                assert_eq!(
+                    (&served.certain, served.truncated),
+                    (&sequential.certain, sequential.truncated),
+                    "workers={workers}: {} {} {}",
+                    request.instance,
+                    request.semantics,
+                    request.query
+                );
+            }
+            responses.push(served.render());
+        }
+        transcripts.push(responses);
+    }
+    assert_all_identical(&transcripts);
+    assert!(
+        transcripts[0].iter().any(|r| r.contains("truncated=true")),
+        "the cap cut at least one oracle stream off: {transcripts:?}"
+    );
+}
+
 const FRAGMENTS: [Fragment; 5] = [
     Fragment::ExistentialPositive,
     Fragment::Positive,
@@ -211,6 +267,7 @@ proptest! {
                 .pop()
                 .expect("one trial");
             let prepared = Arc::new(naive_eval::core::PreparedQuery::new(query));
+            let instance = Arc::new(instance);
             for semantics in [Semantics::Owa, Semantics::Cwa, Semantics::PowersetCwa] {
                 let sequential = engine.certain_answers(&instance, semantics, &prepared);
                 for chunk in [1, 4, 32] {
